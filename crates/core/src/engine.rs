@@ -73,10 +73,11 @@
 use crate::cache::{CacheStats, QueryCache};
 use crate::catalog::QunitCatalog;
 use crate::feedback::FeedbackStore;
+use crate::lanes::{key_suffix, DocLanes};
 use crate::materialize::materialize_all;
 use crate::obs::{EngineObs, ObsSnapshot};
 use crate::qunit::{QunitDefinition, QunitInstance};
-use crate::segment::{EntityDictionary, SegmentScratch, SegmentedQuery, Segmenter};
+use crate::segment::{EntityDictionary, Segment, SegmentScratch, SegmentedQuery, Segmenter};
 use irengine::{
     DispatchCounts, DispatchMode, DispatchPolicy, Document, ExecutorStats, IndexBuilder,
     KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure, ShardExecutor,
@@ -227,11 +228,13 @@ pub struct EngineConfig {
     /// loads the index from this file if it exists and passes validation
     /// (skipping tokenization and index freezing entirely), and writes it
     /// after a fresh build otherwise — so the *next* restart gets the fast
-    /// path. A snapshot whose document count or shard count disagrees with
-    /// the current catalog/config, or that fails checksum/structure
-    /// validation, is ignored and rebuilt over. The snapshot is trusted to
-    /// match the database content (see the trust model in
-    /// `docs/INDEX_FORMAT.md`); delete the file after changing the corpus.
+    /// path. A snapshot whose document count, shard count or block size
+    /// disagrees with the current catalog/config, whose document keys
+    /// differ from the instances this database materializes, or that fails
+    /// checksum/structure validation, is quarantined and rebuilt over.
+    /// Beyond the keys, the snapshot is trusted to match the database
+    /// content (see the trust model in `docs/INDEX_FORMAT.md`); delete the
+    /// file after changing the corpus.
     /// `None` (the default) never touches disk. `QUNITS_SNAPSHOT_PATH`
     /// overrides this at build time.
     pub snapshot_path: Option<PathBuf>,
@@ -582,7 +585,13 @@ pub struct ShardStats {
 /// intra-query parallelism ([`EngineConfig::search_shards`]).
 pub struct QunitSearchEngine {
     index: ShardedIndex,
-    instances: HashMap<String, QunitInstance>,
+    /// Every instance, in global doc-id order: doc `d` renders
+    /// `instances[d]` (checked against the index's external ids when a
+    /// snapshot loads).
+    instances: Vec<QunitInstance>,
+    /// Per-document definition and anchor lanes plus the anchor table
+    /// (see [`crate::lanes`]).
+    lanes: DocLanes,
     catalog: QunitCatalog,
     segmenter: Segmenter,
     config: EngineConfig,
@@ -668,6 +677,46 @@ struct QueryScratch {
     seg: SegmentScratch,
     /// Analyzer token buffer for the IR query terms.
     terms: Vec<String>,
+    /// Catalog-indexed per-query vectors for the rank phase.
+    rank: RankScratch,
+}
+
+/// Per-query, catalog-indexed facts the rank phase reads per candidate —
+/// built once per query so that the type filter and the rerank do array
+/// loads instead of string lookups.
+#[derive(Debug, Default)]
+struct RankScratch {
+    /// Definition-match (type) score per definition.
+    type_scores: Vec<f64>,
+    /// Click-feedback boost per definition.
+    boosts: Vec<f64>,
+    /// Definitions the type filter admits.
+    allowed: Vec<bool>,
+    /// Rerank multipliers per definition.
+    factors: Vec<DefFactors>,
+    /// Anchor ids of the query's segmented entities.
+    anchors: Vec<u32>,
+}
+
+/// One definition's rerank multipliers for the current query.
+#[derive(Debug, Clone, Copy)]
+struct DefFactors {
+    /// `1 + type_weight × type score`.
+    type_mult: f64,
+    /// `1 + default_def_bonus` for the default definition, else 1.
+    default_mult: f64,
+    /// `1 + feedback_weight × boost` when feedback is on, else 1.
+    feedback_mult: f64,
+}
+
+/// What routing decided for one query (the catalog-indexed vectors land in
+/// the [`RankScratch`]).
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// Whether the rank phase restricts candidates to `allowed`.
+    filtered: bool,
+    /// String-keyed map lookups routing made (the feedback read).
+    keyed_probes: u64,
 }
 
 thread_local! {
@@ -711,22 +760,55 @@ fn quarantine_snapshot(path: &std::path::Path, why: &str) {
     }
 }
 
+/// Why a loaded snapshot does not fit this build, if it does not: its
+/// document count, shard count or block size differ, or some document's
+/// external id is not the key of the instance materialized at that doc id.
+/// The key check is what ties a snapshot to the database it was built
+/// from: a snapshot of another database with the same counts fails it at
+/// the first differing key.
+fn snapshot_mismatch(
+    index: &ShardedIndex,
+    instances: &[QunitInstance],
+    shard_count: usize,
+    block_size: usize,
+) -> Option<String> {
+    if index.num_docs() != instances.len()
+        || index.num_shards() != shard_count
+        || index.block_size() != block_size
+    {
+        return Some(format!(
+            "stale: {} docs / {} shards / block size {}, want {} / {shard_count} / {block_size}",
+            index.num_docs(),
+            index.num_shards(),
+            index.block_size(),
+            instances.len(),
+        ));
+    }
+    instances.iter().enumerate().find_map(|(doc, inst)| {
+        let found = index.external_id(doc as irengine::DocId);
+        (found != Some(inst.key.as_str()))
+            .then(|| format!("stale: doc {doc} is {found:?}, want {:?}", inst.key))
+    })
+}
+
 /// Try the snapshot fast path: if [`EngineConfig::snapshot_path`] names an
 /// existing file that loads cleanly (header, checksums, lane invariants)
-/// and agrees with this build's document count and shard count, return the
-/// loaded index; otherwise `None` and the caller freezes from scratch.
-/// Failures are diagnostic, never fatal, and handled by kind:
+/// and fits this build ([`snapshot_mismatch`]: counts, shard count, block
+/// size, and the key of every document), return the loaded index;
+/// otherwise `None` and the caller freezes from scratch. Failures are
+/// diagnostic, never fatal, and handled by kind:
 ///
 /// - transient I/O errors get [`SNAPSHOT_LOAD_ATTEMPTS`] tries with linear
 ///   backoff — the file may be fine while the volume hiccups, so it is
 ///   *not* quarantined when the budget runs out;
-/// - corrupt or stale (wrong doc/shard/block-size) snapshots are renamed
-///   to `<path>.corrupt` ([`quarantine_snapshot`]) so the bytes stay
+/// - corrupt or stale (wrong doc/shard/block-size, or a document key that
+///   differs from this database's) snapshots are renamed to
+///   `<path>.corrupt` ([`quarantine_snapshot`]) so the bytes stay
 ///   available for diagnosis and the next restart rebuilds cleanly instead
 ///   of re-parsing a file known to be bad.
 fn try_load_snapshot(
     config: &EngineConfig,
-    num_docs: usize,
+    instances: &[QunitInstance],
     shard_count: usize,
 ) -> Option<ShardedIndex> {
     let path = config.snapshot_path.as_deref()?;
@@ -752,24 +834,13 @@ fn try_load_snapshot(
         }
     };
     match result {
-        Ok(index)
-            if index.num_docs() == num_docs
-                && index.num_shards() == shard_count
-                && index.block_size() == block_size =>
-        {
-            Some(index)
-        }
-        Ok(index) => {
-            let why = format!(
-                "stale: {} docs / {} shards / block size {}, want \
-                 {num_docs} / {shard_count} / {block_size}",
-                index.num_docs(),
-                index.num_shards(),
-                index.block_size(),
-            );
-            quarantine_snapshot(path, &why);
-            None
-        }
+        Ok(index) => match snapshot_mismatch(&index, instances, shard_count, block_size) {
+            None => Some(index),
+            Some(why) => {
+                quarantine_snapshot(path, &why);
+                None
+            }
+        },
         Err(e @ SnapshotError::Corrupt(_)) => {
             quarantine_snapshot(path, &e.to_string());
             None
@@ -782,6 +853,14 @@ fn try_load_snapshot(
             None
         }
     }
+}
+
+/// The qualified types (`table.column`) of a segmentation's entities.
+fn entity_types(seg: &SegmentedQuery) -> Vec<String> {
+    seg.entities()
+        .iter()
+        .filter_map(|s| s.entity_type())
+        .collect()
 }
 
 /// Resolve a requested thread count: 0 means one per available core, and
@@ -864,11 +943,15 @@ impl QunitSearchEngine {
         builder.set_field_boost("anchor", config.anchor_boost);
         builder.set_field_boost("intent", config.intent_boost);
         builder.set_block_size(config.block_size);
-        let mut instances = HashMap::new();
-        for batch in batches {
+        // Doc ids are assigned in insertion order, so `instances` and the
+        // definition lane come out in global doc-id order.
+        let mut instances = Vec::new();
+        let mut doc_def = Vec::new();
+        for (def, batch) in batches.into_iter().enumerate() {
             for (doc, inst) in batch.expect("every definition materialized")? {
                 builder.add(doc);
-                instances.insert(inst.key.clone(), inst);
+                instances.push(inst);
+                doc_def.push(def as u32);
             }
         }
 
@@ -878,7 +961,7 @@ impl QunitSearchEngine {
         // on search_shards (the fingerprint is shard-count invariant; the
         // CI determinism gate holds both).
         let shard_count = worker_count(config.search_shards, builder.len());
-        let loaded = try_load_snapshot(&config, builder.len(), shard_count);
+        let loaded = try_load_snapshot(&config, &instances, shard_count);
         let fresh_build = loaded.is_none();
         let mut index = loaded.unwrap_or_else(|| builder.build_sharded(shard_count));
         // The codec knob governs the in-memory representation regardless of
@@ -913,6 +996,8 @@ impl QunitSearchEngine {
             .iter()
             .map(|m| m.utility)
             .fold(f64::MIN_POSITIVE, f64::max);
+        let def_names: Vec<&str> = def_meta.iter().map(|m| m.name.as_str()).collect();
+        let lanes = DocLanes::new(&instances, doc_def, &def_names);
         let cache = QueryCache::new(config.cache_capacity);
 
         let shard_timings = ShardTimings::new(index.num_shards());
@@ -928,6 +1013,7 @@ impl QunitSearchEngine {
         Ok(QunitSearchEngine {
             index,
             instances,
+            lanes,
             catalog,
             segmenter,
             config,
@@ -961,14 +1047,17 @@ impl QunitSearchEngine {
         &self.segmenter
     }
 
-    /// Look up a materialized instance.
+    /// Look up a materialized instance by key (through the index's
+    /// key → doc-id map).
     pub fn instance(&self, key: &str) -> Option<&QunitInstance> {
-        self.instances.get(key)
+        let doc = self.index.doc_for_external(key)?;
+        self.instances.get(doc as usize)
     }
 
-    /// All materialized instances, in arbitrary order.
+    /// All materialized instances, in doc-id order (catalog order of their
+    /// definitions, then materialization order).
     pub fn instances(&self) -> impl Iterator<Item = &QunitInstance> {
-        self.instances.values()
+        self.instances.iter()
     }
 
     /// The relevance-feedback store.
@@ -1061,6 +1150,7 @@ impl QunitSearchEngine {
             panics_contained: self.obs.panics_contained.get(),
             degraded_results: self.obs.degraded_results.get(),
             degraded_to_empty: self.obs.degraded_to_empty.get(),
+            keyed_probes: self.obs.keyed_probes.get(),
             per_shard_scoring_nanos: self.shard_timings.snapshot(),
             tasks_enqueued: exec.enqueued,
             tasks_overflowed: exec.overflowed,
@@ -1082,7 +1172,7 @@ impl QunitSearchEngine {
     /// template signature will prefer the clicked definition. Every cached
     /// result list is invalidated (feedback changes scores).
     pub fn record_click(&self, query: &str, result_key: &str) {
-        if let Some(inst) = self.instances.get(result_key) {
+        if let Some(inst) = self.instance(result_key) {
             let sig = self.segmenter.segment(query).template_signature();
             self.feedback.record(&sig, &inst.definition);
             // The feedback generation stamp already marks every cached entry
@@ -1094,20 +1184,22 @@ impl QunitSearchEngine {
     /// Definition-match (type) scores for a query: intent overlap + anchor
     /// agreement + utility prior, per definition name.
     pub fn type_scores(&self, query: &str) -> HashMap<String, f64> {
-        self.type_scores_for(&self.segmenter.segment(query))
+        let seg = self.segmenter.segment(query);
+        let mut scores = Vec::with_capacity(self.def_meta.len());
+        self.type_scores_into(&seg.residual_terms(), &entity_types(&seg), &mut scores);
+        self.def_meta
+            .iter()
+            .map(|m| m.name.clone())
+            .zip(scores)
+            .collect()
     }
 
-    fn type_scores_for(&self, seg: &SegmentedQuery) -> HashMap<String, f64> {
-        let residual = seg.residual_terms();
-        let entity_types: Vec<String> = seg
-            .entities()
-            .iter()
-            .filter_map(|s| s.entity_type())
-            .collect();
-
-        let mut out = HashMap::with_capacity(self.catalog.len());
-        for (def, meta) in self.catalog.iter().zip(&self.def_meta) {
-            let intent = def.intent_overlap(&residual);
+    /// [`QunitSearchEngine::type_scores`] in catalog order, written into
+    /// `out` (cleared first).
+    fn type_scores_into(&self, residual: &[String], entity_types: &[String], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.catalog.iter().zip(&self.def_meta).map(|(def, meta)| {
+            let intent = def.intent_overlap(residual);
             let anchor = match &meta.anchor_qualified {
                 Some(a) if entity_types.iter().any(|t| t == a) => 1.0,
                 Some(_) if entity_types.is_empty() => 0.25, // nothing contradicts it
@@ -1121,9 +1213,8 @@ impl QunitSearchEngine {
                 }
             };
             let utility = self.config.utility_weight * (meta.utility / self.max_utility);
-            out.insert(meta.name.clone(), intent + anchor + utility);
-        }
-        out
+            intent + anchor + utility
+        }));
     }
 
     /// Run a keyword query, returning up to `k` results. Consults the query
@@ -1350,6 +1441,88 @@ impl QunitSearchEngine {
         out.map(|r| r.results)
     }
 
+    /// Route one segmented query: fill `rank` with its catalog-indexed
+    /// type scores, feedback boosts, filter bitmap and rerank multipliers.
+    fn route(&self, seg: &SegmentedQuery, rank: &mut RankScratch) -> Route {
+        let residual = seg.residual_terms();
+        let entity_types = entity_types(seg);
+        self.type_scores_into(&residual, &entity_types, &mut rank.type_scores);
+        let seg_signature = seg.template_signature();
+        // One consistent read of this query shape's click feedback, per
+        // definition; every feedback term below indexes this vector.
+        let keyed_probes = self.feedback.boosts_into(
+            &seg_signature,
+            self.def_meta.iter().map(|m| m.name.as_str()),
+            &mut rank.boosts,
+        );
+
+        // Underspecified query (entity, no residual): its default answer is
+        // the most *salient* qunit of that entity type — "the qunit
+        // definition for an under-specified query is an aggregation of ...
+        // its specializations" (§4.2). Salience is the derivation-assigned
+        // utility plus accumulated click feedback for this query shape, so
+        // user behaviour can move the default over time.
+        let salience =
+            |d: usize| self.def_meta[d].utility + self.config.feedback_weight * rank.boosts[d];
+        let default_def: Option<usize> = if residual.is_empty() && !entity_types.is_empty() {
+            (0..self.def_meta.len())
+                .filter(|&d| {
+                    self.def_meta[d]
+                        .anchor_qualified
+                        .as_ref()
+                        .is_some_and(|a| entity_types.iter().any(|t| t == a))
+                })
+                .max_by(|&a, &b| {
+                    salience(a)
+                        .partial_cmp(&salience(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(self.def_meta[b].name.cmp(&self.def_meta[a].name))
+                })
+        } else {
+            None
+        };
+
+        // §3: "standard IR techniques can be used to evaluate this query
+        // against qunit instances *of the identified type*". When typing is
+        // confident — a default definition for an underspecified query, or
+        // definitions whose anchor AND intent both align — restrict ranking
+        // to those definitions (the `allowed` bitmap); otherwise rank
+        // everything and let the soft type score re-rank.
+        let best_ts = rank.type_scores.iter().copied().fold(0.0, f64::max);
+        let filtered = default_def.is_some() || best_ts >= 1.5;
+        rank.allowed.clear();
+        rank.allowed
+            .extend((0..self.def_meta.len()).map(|d| match default_def {
+                Some(default) => d == default,
+                None => !filtered || rank.type_scores[d] >= best_ts - 0.25,
+            }));
+
+        // Per-definition rerank multipliers, once per query. Each factor is
+        // exactly 1 where its rule does not apply, and `x * 1.0 == x` for
+        // every f64, so applying all of them in the rerank's fixed order
+        // gives the same bits as applying only the ones that fire.
+        rank.factors.clear();
+        rank.factors
+            .extend((0..self.def_meta.len()).map(|d| DefFactors {
+                type_mult: 1.0 + self.config.type_weight * rank.type_scores[d],
+                default_mult: if default_def == Some(d) {
+                    1.0 + self.config.default_def_bonus
+                } else {
+                    1.0
+                },
+                feedback_mult: if self.config.feedback_weight > 0.0 {
+                    1.0 + self.config.feedback_weight * rank.boosts[d]
+                } else {
+                    1.0
+                },
+            }));
+
+        Route {
+            filtered,
+            keyed_probes,
+        }
+    }
+
     /// [`QunitSearchEngine::search_uncached_inner`] behind the query-level
     /// panic boundary. The shard fan-out already contains panics inside
     /// its tasks; this outer catch covers the rest of the pipeline (the
@@ -1411,72 +1584,19 @@ impl QunitSearchEngine {
         };
         deadline.check("segment").map_err(trip)?;
         let seg = self.segmenter.segment_with(query, &mut qs.seg);
-        let type_scores = self.type_scores_for(&seg);
-        let seg_signature = seg.template_signature();
-        let entity_texts: Vec<String> = seg
+        let QueryScratch { terms, rank, .. } = qs;
+        let entity_texts: Vec<&str> = seg
             .segments
             .iter()
             .filter_map(|s| match s {
-                crate::segment::Segment::Entity { text, .. } => Some(text.clone()),
+                Segment::Entity { text, .. } => Some(text.as_str()),
                 _ => None,
             })
             .collect();
-        let entity_types: Vec<String> = seg
-            .entities()
-            .iter()
-            .filter_map(|s| s.entity_type())
-            .collect();
-
-        // Underspecified query (entity, no residual): its default answer is
-        // the most *salient* qunit of that entity type — "the qunit
-        // definition for an under-specified query is an aggregation of ...
-        // its specializations" (§4.2). Salience is the derivation-assigned
-        // utility plus accumulated click feedback for this query shape, so
-        // user behaviour can move the default over time.
-        let salience = |m: &DefMeta| {
-            m.utility + self.config.feedback_weight * self.feedback.boost(&seg_signature, &m.name)
-        };
-        let default_def: Option<&str> =
-            if seg.residual_terms().is_empty() && !entity_types.is_empty() {
-                self.def_meta
-                    .iter()
-                    .filter(|m| {
-                        m.anchor_qualified
-                            .as_ref()
-                            .map(|a| entity_types.iter().any(|t| t == a))
-                            .unwrap_or(false)
-                    })
-                    .max_by(|a, b| {
-                        salience(a)
-                            .partial_cmp(&salience(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(b.name.cmp(&a.name))
-                    })
-                    .map(|m| m.name.as_str())
-            } else {
-                None
-            };
-
-        // §3: "standard IR techniques can be used to evaluate this query
-        // against qunit instances *of the identified type*". When typing is
-        // confident — a default definition for an underspecified query, or
-        // definitions whose anchor AND intent both align — restrict ranking
-        // to those definitions; otherwise rank everything and let the soft
-        // type score re-rank.
-        let best_ts = type_scores.values().copied().fold(0.0, f64::max);
-        let preferred: Option<Vec<&str>> = if let Some(d) = default_def {
-            Some(vec![d])
-        } else if best_ts >= 1.5 {
-            Some(
-                self.def_meta
-                    .iter()
-                    .filter(|m| type_scores.get(&m.name).copied().unwrap_or(0.0) >= best_ts - 0.25)
-                    .map(|m| m.name.as_str())
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let Route {
+            filtered,
+            mut keyed_probes,
+        } = self.route(&seg, rank);
 
         // Intra-query parallelism: every ranking pass below fans across
         // the index shards — inline or on the persistent executor per the
@@ -1486,8 +1606,8 @@ impl QunitSearchEngine {
         // atomic shard counters.
         deadline.check("rank").map_err(trip)?;
         let searcher = ShardedSearcher::new(&self.index, self.config.scoring);
-        self.index.analyzer().tokenize_into(query, &mut qs.terms);
-        let terms = &qs.terms;
+        self.index.analyzer().tokenize_into(query, terms);
+        let terms = &*terms;
         let fetch = k.saturating_mul(10).max(50);
         // The mid-kernel probe is wired only when a deadline exists: a
         // `deadline: None` engine keeps the probe-free kernel loops (no
@@ -1522,22 +1642,13 @@ impl QunitSearchEngine {
             }
         };
         let mut degraded_shards = 0usize;
-        let def_filter = preferred.as_ref().map(|defs| {
-            move |doc: irengine::DocId| {
-                self.index
-                    .external_id(doc)
-                    .and_then(|key| self.instances.get(key))
-                    .map(|inst| defs.iter().any(|d| *d == inst.definition))
-                    .unwrap_or(false)
-            }
-        });
+        let allowed = &rank.allowed;
+        let def_filter = |doc: irengine::DocId| self.lanes.admits(allowed, doc);
         let outcome = searcher
             .try_search_terms_where_ctx(
                 terms,
                 fetch,
-                def_filter
-                    .as_ref()
-                    .map(|f| f as &(dyn Fn(irengine::DocId) -> bool + Sync)),
+                filtered.then_some(&def_filter as &(dyn Fn(irengine::DocId) -> bool + Sync)),
                 &ctx,
             )
             .map_err(&rank_trip)?;
@@ -1551,7 +1662,7 @@ impl QunitSearchEngine {
         self.sharded_searches.fetch_add(1, Ordering::Relaxed);
         // If the identified type has no matching instance (a movie with no
         // soundtrack asked for its ost), fall back to the unrestricted pool.
-        if hits.is_empty() && preferred.is_some() {
+        if hits.is_empty() && filtered {
             let outcome = searcher
                 .try_search_terms_where_ctx(terms, fetch, None, &ctx)
                 .map_err(&rank_trip)?;
@@ -1561,68 +1672,66 @@ impl QunitSearchEngine {
         }
 
         // Exact-anchor injection: the instance keyed by a segmented entity
-        // is always a candidate, even when BM25 ranks it below the fetch
-        // cutoff (a star's filmography document is long, scores low, and
-        // would otherwise vanish behind 50 short near-misses).
-        let candidate_defs: Vec<&str> = match &preferred {
-            Some(defs) => defs.clone(),
-            None => self.def_meta.iter().map(|m| m.name.as_str()).collect(),
-        };
+        // (`{definition}::{text}`, for an admitted definition) is always a
+        // candidate, even when BM25 ranks it below the fetch cutoff (a
+        // star's filmography document is long, scores low, and would
+        // otherwise vanish behind 50 short near-misses). One anchor-table
+        // probe per entity finds both the injection candidates and the
+        // anchor id the exact-anchor bonus below matches against.
+        rank.anchors.clear();
         for text in &entity_texts {
-            for def in &candidate_defs {
-                let key = format!("{def}::{text}");
-                if !self.instances.contains_key(&key) {
-                    continue;
-                }
-                if let Some(doc) = self.index.doc_for_external(&key) {
-                    if !hits.iter().any(|h| h.doc == doc) {
-                        let scored = searcher.score_doc(query, doc);
-                        if scored.score > 0.0 {
-                            hits.push(scored);
-                        }
+            keyed_probes += 1;
+            let Some(anchor) = self.lanes.anchor_id(text) else {
+                continue;
+            };
+            rank.anchors.push(anchor);
+            for &doc in self.lanes.keyed_docs(anchor) {
+                // The table folds ASCII case; the key match does not.
+                let def = self.lanes.def(doc);
+                if allowed[def]
+                    && key_suffix(&self.instances[doc as usize].key, &self.def_meta[def].name)
+                        == Some(*text)
+                    && !hits.iter().any(|h| h.doc == doc)
+                {
+                    let scored = searcher.score_doc(query, doc);
+                    if scored.score > 0.0 {
+                        hits.push(scored);
                     }
                 }
             }
         }
+        self.obs.keyed_probes.add(keyed_probes);
 
-        // Score the candidates lightly first — borrowed keys and f64s only
-        // — and materialize full QunitResults (six owned strings each) for
+        // Score the candidates lightly first — lane loads and f64s only —
+        // and materialize full QunitResults (six owned strings each) for
         // just the k survivors of the sort. The fetch depth is ~10× k, so
         // this skips ~90% of the result-construction churn; the comparator
         // and the per-hit arithmetic are unchanged, so the final list is
         // identical to materialize-then-sort.
         deadline.check("materialize").map_err(trip)?;
+        let anchor_mult = 1.0 + self.config.anchor_exact_bonus;
         struct Scored<'e> {
             score: f64,
             ir_score: f64,
             type_score: f64,
-            key: &'e str,
             inst: &'e QunitInstance,
         }
         let mut scored: Vec<Scored> = hits
             .into_iter()
             .filter_map(|h| {
-                let key = self.index.external_id(h.doc)?;
-                let inst = self.instances.get(key)?;
-                let ts = type_scores.get(&inst.definition).copied().unwrap_or(0.0);
-                let mut score = h.score * (1.0 + self.config.type_weight * ts);
-                if let Some(anchor) = inst.anchor_text() {
-                    if entity_texts.iter().any(|t| t.eq_ignore_ascii_case(&anchor)) {
-                        score *= 1.0 + self.config.anchor_exact_bonus;
-                    }
+                let inst = self.instances.get(h.doc as usize)?;
+                let def = self.lanes.def(h.doc);
+                let f = rank.factors[def];
+                let mut score = h.score * f.type_mult;
+                if self.lanes.anchored_on(&rank.anchors, h.doc) {
+                    score *= anchor_mult;
                 }
-                if default_def == Some(inst.definition.as_str()) {
-                    score *= 1.0 + self.config.default_def_bonus;
-                }
-                if self.config.feedback_weight > 0.0 {
-                    let fb = self.feedback.boost(&seg_signature, &inst.definition);
-                    score *= 1.0 + self.config.feedback_weight * fb;
-                }
+                score *= f.default_mult;
+                score *= f.feedback_mult;
                 Some(Scored {
                     score,
                     ir_score: h.score,
-                    type_score: ts,
-                    key,
+                    type_score: rank.type_scores[def],
                     inst,
                 })
             })
@@ -1631,7 +1740,7 @@ impl QunitSearchEngine {
             b.score
                 .partial_cmp(&a.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.key.cmp(b.key))
+                .then(a.inst.key.cmp(&b.inst.key))
         });
         scored.truncate(k);
         if degraded_shards > 0 {
@@ -1644,7 +1753,7 @@ impl QunitSearchEngine {
             results: scored
                 .into_iter()
                 .map(|s| QunitResult {
-                    key: s.key.to_string(),
+                    key: s.inst.key.clone(),
                     definition: s.inst.definition.clone(),
                     score: s.score,
                     ir_score: s.ir_score,
@@ -2039,5 +2148,217 @@ mod tests {
             assert_eq!(engine.search_batch_with(&refs, 5, threads), batched);
         }
         assert!(engine.search_batch(&[], 5).is_empty());
+    }
+
+    /// The tiny engine's fixed query list: typed queries (filtered to one
+    /// or a few definitions), bare entities (the default definition) and
+    /// entity-free queries (unfiltered).
+    fn tiny_queries(data: &ImdbData) -> Vec<String> {
+        let mut queries: Vec<String> = data
+            .movies
+            .iter()
+            .take(4)
+            .flat_map(|m| {
+                [
+                    format!("{} cast", m.title),
+                    m.title.clone(),
+                    format!("{} ost", m.title),
+                ]
+            })
+            .collect();
+        queries.extend(data.people.iter().take(3).flat_map(|p| {
+            [
+                p.name.clone(),
+                format!("{} movies", p.name),
+                format!("{} awards", p.name),
+            ]
+        }));
+        queries.extend(["best rated charts".into(), "zzzz qqqq".into()]);
+        queries
+    }
+
+    fn snapshot_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("qunits-engine-{tag}-{}.qx", std::process::id()))
+    }
+
+    fn quarantine_path(path: &std::path::Path) -> PathBuf {
+        let mut q = path.as_os_str().to_owned();
+        q.push(".corrupt");
+        PathBuf::from(q)
+    }
+
+    #[test]
+    fn lanes_agree_with_instances_fresh_and_restarted() {
+        let (data, _) = engine();
+        for shards in [1usize, 3] {
+            let path = snapshot_path(&format!("lanes-{shards}"));
+            let _ = std::fs::remove_file(&path);
+            let config = || EngineConfig {
+                snapshot_path: Some(path.clone()),
+                search_shards: shards,
+                ..EngineConfig::default()
+            };
+            let build = || {
+                QunitSearchEngine::build(&data.db, expert_imdb_qunits(&data.db).unwrap(), config())
+                    .unwrap()
+            };
+            let fresh = build();
+            let restarted = build();
+            assert!(
+                !quarantine_path(&path).exists(),
+                "restart must load the snapshot"
+            );
+            for e in [&fresh, &restarted] {
+                assert_eq!(e.num_shards(), shards);
+                assert_eq!(e.num_instances(), e.index.num_docs());
+                for doc in 0..e.num_instances() as irengine::DocId {
+                    let key = e.index.external_id(doc).unwrap();
+                    let inst = e.instance(key).unwrap();
+                    assert_eq!(inst.key, key);
+                    assert_eq!(
+                        e.def_meta[e.lanes.def(doc)].name,
+                        inst.definition,
+                        "doc {doc}"
+                    );
+                    let anchor = inst.anchor_text().map(|a| e.lanes.anchor_id(&a).unwrap());
+                    assert_eq!(e.lanes.anchor(doc), anchor, "doc {doc}");
+                }
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn lane_filter_matches_string_predicate() {
+        let (data, engine) = engine();
+        let searcher = ShardedSearcher::new(&engine.index, engine.config.scoring);
+        let mut rank = RankScratch::default();
+        let mut routed_filters = 0;
+        for q in tiny_queries(&data) {
+            let terms = engine.index.analyzer().tokenize(&q);
+            let route = engine.route(&engine.segmenter.segment(&q), &mut rank);
+            routed_filters += usize::from(route.filtered);
+            // the query's own bitmap, then each definition alone
+            let single = (0..engine.def_meta.len()).map(|d| {
+                (0..engine.def_meta.len())
+                    .map(|i| i == d)
+                    .collect::<Vec<bool>>()
+            });
+            for allowed in std::iter::once(rank.allowed.clone()).chain(single) {
+                let names: Vec<&str> = engine
+                    .def_meta
+                    .iter()
+                    .zip(&allowed)
+                    .filter(|(_, &a)| a)
+                    .map(|(m, _)| m.name.as_str())
+                    .collect();
+                // the string predicate the lanes replaced
+                let by_key = |doc: irengine::DocId| {
+                    engine
+                        .index
+                        .external_id(doc)
+                        .and_then(|key| engine.instance(key))
+                        .is_some_and(|inst| names.contains(&inst.definition.as_str()))
+                };
+                let by_lane = |doc: irengine::DocId| engine.lanes.admits(&allowed, doc);
+                assert_eq!(
+                    searcher.search_terms_where(&terms, 100, by_lane),
+                    searcher.search_terms_where(&terms, 100, by_key),
+                    "{q:?} over {names:?}"
+                );
+            }
+        }
+        assert!(routed_filters > 0, "no query exercised the routed filter");
+    }
+
+    #[test]
+    fn keyed_probes_are_pinned() {
+        // One feedback probe per query plus one anchor-table probe per
+        // segmented entity; once a signature has clicks, its queries also
+        // probe the feedback store once per definition. No per-hit lookup.
+        let (data, engine) = engine();
+        let queries = tiny_queries(&data);
+        for q in &queries {
+            engine.search_uncached(q, 10);
+        }
+        assert_eq!(engine.obs_snapshot().keyed_probes, 44);
+        let title = &data.movies[0].title;
+        engine.record_click(title, &format!("movie_cast::{title}"));
+        engine.search_uncached(title, 10);
+        // signature + one anchor probe + one per each of the 12 definitions
+        assert_eq!(engine.catalog().len(), 12);
+        assert_eq!(engine.obs_snapshot().keyed_probes, 44 + 14);
+        // the served path counts the same work once per cache miss
+        engine.search(title, 10);
+        engine.search(title, 10);
+        assert_eq!(engine.obs_snapshot().keyed_probes, 44 + 14 + 14);
+    }
+
+    /// A copy of `db` with the title of one movie renamed: same tables,
+    /// same row counts, one anchor value different.
+    fn with_renamed_movie(db: &Database, movie_id: i64, title: &str) -> Database {
+        let mut copy = datagen::imdb::imdb_schema();
+        copy.set_enforce_fk(false);
+        for (table, schema) in db.catalog().iter() {
+            let title_col = schema.column_index("title");
+            for (_, row) in db.table(table).unwrap().scan() {
+                let mut values = row.values().to_vec();
+                if schema.name == "movie" && values[0] == movie_id.into() {
+                    values[title_col.unwrap()] = title.into();
+                }
+                copy.insert(&schema.name, values).unwrap();
+            }
+        }
+        copy.set_enforce_fk(true);
+        copy
+    }
+
+    #[test]
+    fn snapshot_of_another_database_is_quarantined() {
+        let (data, cold) = engine();
+        let path = snapshot_path("stale-keys");
+        let quarantined = quarantine_path(&path);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&quarantined);
+        let movie = data
+            .movies
+            .iter()
+            .find(|m| data.movies.iter().filter(|o| o.title == m.title).count() == 1)
+            .unwrap();
+        let other = with_renamed_movie(&data.db, movie.id, "zzz renamed feature");
+        let config = || EngineConfig {
+            snapshot_path: Some(path.clone()),
+            search_shards: 3,
+            ..EngineConfig::default()
+        };
+        let stale = QunitSearchEngine::build(&other, expert_imdb_qunits(&other).unwrap(), config())
+            .unwrap();
+        // same doc count, shard count and block size: only the keys differ
+        assert_eq!(stale.num_instances(), cold.num_instances());
+        assert_ne!(stale.index_fingerprint(), cold.index_fingerprint());
+        assert!(path.exists());
+
+        let rebuilt =
+            QunitSearchEngine::build(&data.db, expert_imdb_qunits(&data.db).unwrap(), config())
+                .unwrap();
+        assert!(quarantined.exists(), "stale snapshot must be quarantined");
+        assert_eq!(rebuilt.index_fingerprint(), cold.index_fingerprint());
+        let mut queries = tiny_queries(&data);
+        queries.push(format!("{} cast", movie.title));
+        for q in &queries {
+            assert_eq!(
+                rebuilt.search_uncached(q, 10),
+                cold.search_uncached(q, 10),
+                "{q}"
+            );
+        }
+        // the rebuild wrote a fresh snapshot, which the next restart loads
+        let _ = std::fs::remove_file(&quarantined);
+        let restarted =
+            QunitSearchEngine::build(&data.db, expert_imdb_qunits(&data.db).unwrap(), config())
+                .unwrap();
+        assert!(!quarantined.exists());
+        assert_eq!(restarted.index_fingerprint(), cold.index_fingerprint());
+        let _ = std::fs::remove_file(&path);
     }
 }

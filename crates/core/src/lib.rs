@@ -77,6 +77,7 @@ pub mod catalog;
 pub mod derive;
 pub mod engine;
 pub mod feedback;
+mod lanes;
 pub mod materialize;
 pub mod obs;
 pub mod presentation;

@@ -307,6 +307,15 @@ pub struct ObsSnapshot {
     /// so p50/p99 are visible from inside the engine without an external
     /// harness.
     pub latency: LatencySnapshot,
+    /// Lookups into the engine's string-keyed maps on the uncached path
+    /// after segmentation: the anchor table (one per segmented entity),
+    /// the feedback store (one for the query's signature, plus one per
+    /// definition when that signature has clicks) and instance-key
+    /// lookups (none — the ranking path reads dense per-document lanes).
+    /// Deterministic for a fixed query list and click history, so tests
+    /// pin it exactly; a per-hit string lookup creeping back onto the
+    /// ranking path shows up here as growth with the hit count.
+    pub keyed_probes: u64,
 }
 
 impl ObsSnapshot {
@@ -352,6 +361,8 @@ pub struct EngineObs {
     pub degraded_results: Counter,
     /// Errors swallowed into empty lists by the infallible entry points.
     pub degraded_to_empty: Counter,
+    /// String-keyed map lookups on the uncached path.
+    pub keyed_probes: Counter,
     /// Full-pipeline latency per served query.
     pub latency: LatencyHistogram,
 }
